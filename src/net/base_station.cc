@@ -4,7 +4,6 @@
 
 #include "net/frame_check.h"
 #include "obs/metrics.h"
-#include "storage/query_service.h"
 
 namespace sbr::net {
 namespace {
@@ -24,6 +23,12 @@ void AddStats(const ProtocolStats& from, ProtocolStats* to) {
   to->stale_frames_rejected += from.stale_frames_rejected;
 }
 
+storage::QueryServiceOptions ServiceOptions(size_t m_base) {
+  storage::QueryServiceOptions options;
+  options.m_base = m_base;
+  return options;
+}
+
 }  // namespace
 
 BaseStation::BaseStation(size_t m_base, std::string log_dir,
@@ -31,7 +36,19 @@ BaseStation::BaseStation(size_t m_base, std::string log_dir,
     : m_base_(m_base),
       log_dir_(std::move(log_dir)),
       reorder_window_(reorder_window == 0 ? 1 : reorder_window),
-      persist_protocol_state_(persist_protocol_state) {}
+      persist_protocol_state_(persist_protocol_state),
+      own_service_(
+          std::make_unique<storage::QueryService>(ServiceOptions(m_base))),
+      service_(own_service_.get()) {}
+
+Status BaseStation::AttachQueryService(storage::QueryService* service) {
+  for (const auto& [id, s] : sensors_) {
+    SBR_RETURN_IF_ERROR(storage::ReplayLog(s.log, id, service));
+  }
+  service_ = service;
+  own_service_.reset();
+  return Status::Ok();
+}
 
 StatusOr<BaseStation::PerSensor*> BaseStation::GetOrCreate(
     uint32_t sensor_id) {
@@ -45,41 +62,15 @@ StatusOr<BaseStation::PerSensor*> BaseStation::GetOrCreate(
     if (!opened.ok()) return opened.status();
     log = std::move(opened).value();
   }
-  // Replay any recovered records so the history matches the log.
-  auto history = log.empty()
-                     ? StatusOr<storage::HistoryStore>(
-                           storage::HistoryStore(m_base_))
-                     : storage::HistoryStore::FromLog(log, m_base_);
-  if (!history.ok()) return history.status();
-  auto [pos, inserted] = sensors_.emplace(
-      sensor_id, PerSensor{std::move(log), std::move(history).value()});
-  (void)inserted;
-  PerSensor* s = &pos->second;
+  PerSensor* s = &sensors_[sensor_id];
+  s->log = std::move(log);
   s->id = sensor_id;
+  // Replay any recovered records so the timeline matches the log.
+  SBR_RETURN_IF_ERROR(storage::ReplayLog(s->log, sensor_id, service_));
   if (persist_protocol_state_ && !s->log.empty()) {
     SBR_RETURN_IF_ERROR(RestoreProtocolState(s));
   }
-  if (query_service_ != nullptr && !s->log.empty()) {
-    SBR_RETURN_IF_ERROR(ReplayIntoQueryService(sensor_id, s->log));
-  }
   return s;
-}
-
-void BaseStation::ForwardToQueryService(uint32_t sensor_id,
-                                        const core::Transmission& t) {
-  if (query_service_ == nullptr) return;
-  if (!query_service_->Ingest(sensor_id, t).ok()) {
-    // The station's own history accepted this record, so a service-side
-    // rejection is an internal disagreement; keep the two chunk timelines
-    // aligned with an explicit service-side gap and count the event.
-    (void)query_service_->MarkGap(sensor_id, 1);
-    SBR_OBS_COUNT("net.station.query_forward_gaps", 1);
-  }
-}
-
-Status BaseStation::ReplayIntoQueryService(uint32_t sensor_id,
-                                           const storage::ChunkLog& log) {
-  return storage::ReplayLog(log, sensor_id, query_service_);
 }
 
 Status BaseStation::AppendProtocolCheckpoint(PerSensor* s) {
@@ -183,15 +174,12 @@ Status BaseStation::Receive(uint32_t sensor_id, const core::Transmission& t) {
   auto sensor = GetOrCreate(sensor_id);
   if (!sensor.ok()) return sensor.status();
   SBR_RETURN_IF_ERROR((*sensor)->log.Append(t));
-  SBR_RETURN_IF_ERROR((*sensor)->history.Ingest(t));
-  ForwardToQueryService(sensor_id, t);
-  return Status::Ok();
+  return service_->Ingest(sensor_id, t);
 }
 
 Status BaseStation::IngestData(PerSensor* s, const core::Transmission& t) {
   SBR_RETURN_IF_ERROR(s->log.Append(t));
-  SBR_RETURN_IF_ERROR(s->history.Ingest(t));
-  ForwardToQueryService(s->id, t);
+  SBR_RETURN_IF_ERROR(service_->Ingest(s->id, t));
   ++s->stats.frames_accepted;
   ++total_.frames_accepted;
   if (t.base_kind == core::BaseKind::kNone) {
@@ -204,10 +192,7 @@ Status BaseStation::IngestData(PerSensor* s, const core::Transmission& t) {
 Status BaseStation::DeclareGap(PerSensor* s, size_t chunks) {
   if (chunks == 0) return Status::Ok();
   SBR_RETURN_IF_ERROR(s->log.AppendGap(static_cast<uint32_t>(chunks)));
-  s->history.MarkGap(chunks);
-  if (query_service_ != nullptr) {
-    (void)query_service_->MarkGap(s->id, chunks);
-  }
+  SBR_RETURN_IF_ERROR(service_->MarkGap(s->id, chunks));
   s->stats.gap_chunks += chunks;
   total_.gap_chunks += chunks;
   return Status::Ok();
@@ -300,19 +285,17 @@ StatusOr<FrameAck> BaseStation::HandleFrame(core::Frame frame) {
     // summed, because the incremental count may include chunks a stale
     // (crash-recovered) sensor checkpoint already reported once.
     // Anything buffered under the old epoch is undecodable and discarded.
-    const uint64_t len = s->history.num_chunks();
+    const auto published = service_->Snapshot(s->id);
+    const uint64_t len =
+        published == nullptr ? 0 : published->history.num_chunks();
     const uint64_t target =
         snap->timeline_chunks > 0
             ? std::max<uint64_t>(snap->timeline_chunks, len)
             : len + snap->missing_chunks;
     SBR_RETURN_IF_ERROR(
         DeclareGap(s, target > len ? static_cast<size_t>(target - len) : 0));
-    SBR_RETURN_IF_ERROR(s->history.ApplySnapshot(*snap));
+    SBR_RETURN_IF_ERROR(service_->ApplySnapshot(s->id, *snap));
     SBR_RETURN_IF_ERROR(s->log.AppendSnapshot(*snap));
-    if (query_service_ != nullptr &&
-        !query_service_->ApplySnapshot(s->id, *snap).ok()) {
-      SBR_OBS_COUNT("net.station.query_forward_snapshot_rejects", 1);
-    }
     s->stats.stale_frames_rejected += s->pending.size();
     total_.stale_frames_rejected += s->pending.size();
     s->pending.clear();
@@ -353,9 +336,12 @@ StatusOr<FrameAck> BaseStation::HandleFrame(core::Frame frame) {
     if (Status ingest = IngestData(s, *t); !ingest.ok()) {
       // CRC-clean but undecodable (e.g. geometry drift): the stream state
       // is no longer trustworthy — request a resync rather than guessing.
+      // The refused record may already sit in the log, so the new state
+      // is checkpointed after it: a restart resumes awaiting the resync.
       s->awaiting_resync = true;
       ++s->stats.resync_requests;
       ++total_.resync_requests;
+      SBR_RETURN_IF_ERROR(AppendProtocolCheckpoint(s));
       ack.type = AckType::kDesync;
       ack.resync_requested = true;
       return ack;
@@ -416,13 +402,18 @@ ProtocolStats BaseStation::stats(uint32_t sensor_id) const {
   return it == sensors_.end() ? ProtocolStats() : it->second.stats;
 }
 
-StatusOr<const storage::HistoryStore*> BaseStation::History(
+StatusOr<std::shared_ptr<const storage::HistoryStore>> BaseStation::History(
     uint32_t sensor_id) const {
-  auto it = sensors_.find(sensor_id);
-  if (it == sensors_.end()) {
+  if (!HasSensor(sensor_id)) {
     return Status::NotFound("sensor " + std::to_string(sensor_id));
   }
-  return &it->second.history;
+  auto snap = service_->Snapshot(sensor_id);
+  if (snap == nullptr) {
+    return std::make_shared<const storage::HistoryStore>(m_base_);
+  }
+  const storage::HistoryStore* history = &snap->history;
+  return std::shared_ptr<const storage::HistoryStore>(std::move(snap),
+                                                      history);
 }
 
 StatusOr<const storage::ChunkLog*> BaseStation::Log(

@@ -1,7 +1,9 @@
-// BaseStation: receives transmissions from many sensors, appends each to
-// the sensor's chunk log and maintains a queryable decoded history per
-// sensor (paper Figure 1: one log file per sensor, plus the base-signal
-// updates folded into the same stream).
+// BaseStation: receives transmissions from many sensors and appends each
+// to the sensor's chunk log (paper Figure 1: one log file per sensor, plus
+// the base-signal updates folded into the same stream). Each sensor's
+// queryable timeline lives in one place only: the station's
+// storage::QueryService, which decodes every accepted chunk and publishes
+// it as an immutable epoch snapshot.
 //
 // On-air frames pass through the fault-tolerant receive protocol first:
 // CRC validation, duplicate suppression, a bounded reorder window, and
@@ -13,16 +15,14 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 
 #include "core/transmission.h"
 #include "storage/chunk_log.h"
 #include "storage/history_store.h"
+#include "storage/query_service.h"
 #include "util/status.h"
-
-namespace sbr::storage {
-class QueryService;
-}  // namespace sbr::storage
 
 namespace sbr::net {
 
@@ -62,7 +62,8 @@ struct ProtocolStats {
 /// The sink node of the network.
 class BaseStation {
  public:
-  /// `m_base` must match the sensors' encoder configuration. When
+  /// `m_base` must match the sensors' encoder configuration; the station
+  /// creates its own query service with it. When
   /// `log_dir` is non-empty, one durable log file per sensor is kept under
   /// it ("sensor_<id>.log"); otherwise logs are in-memory.
   /// `reorder_window` bounds how many frames ahead of the expected
@@ -99,26 +100,28 @@ class BaseStation {
     return sensors_.count(sensor_id) > 0;
   }
 
-  /// Decoded history of a sensor; NotFound if never heard from.
-  StatusOr<const storage::HistoryStore*> History(uint32_t sensor_id) const;
+  /// Decoded history of a sensor as of the service's latest epoch; NotFound
+  /// if never heard from. The handle shares that epoch's immutable
+  /// snapshot, so it stays valid and unchanged while ingest goes on. A
+  /// sensor with no published epoch yet reads as an empty history.
+  StatusOr<std::shared_ptr<const storage::HistoryStore>> History(
+      uint32_t sensor_id) const;
 
   /// The raw log of a sensor; NotFound if never heard from.
   StatusOr<const storage::ChunkLog*> Log(uint32_t sensor_id) const;
 
-  /// Attaches a concurrent query front-end: every accepted ingest, gap
-  /// declaration and resync snapshot — including the log replay of sensors
-  /// first heard from after the attach — is mirrored into `service`, which
-  /// publishes an immutable epoch snapshot per mutation for concurrent
-  /// readers. Not owned; must outlive the station. Pass nullptr to detach.
-  void AttachQueryService(storage::QueryService* service) {
-    query_service_ = service;
-  }
-  storage::QueryService* query_service() const { return query_service_; }
+  /// Replaces the station's query service with `service`: every known
+  /// sensor's log is replayed into it, and from then on every accepted
+  /// ingest, gap declaration and resync snapshot goes to it alone. Not
+  /// owned; must be non-null, must outlive the station and must not hold
+  /// these sensors yet. A replay error leaves the current service in place.
+  Status AttachQueryService(storage::QueryService* service);
+  /// The service holding every sensor's timeline.
+  const storage::QueryService& query_service() const { return *service_; }
 
  private:
   struct PerSensor {
     storage::ChunkLog log;
-    storage::HistoryStore history;
     // Receive-protocol state.
     uint64_t expected_seq = 0;
     uint32_t epoch = 0;
@@ -130,9 +133,10 @@ class BaseStation {
 
   StatusOr<PerSensor*> GetOrCreate(uint32_t sensor_id);
   StatusOr<FrameAck> HandleFrame(core::Frame frame);
-  /// Decodes and stores one in-order data frame's transmission.
+  /// Logs one in-order data frame's transmission and ingests it into the
+  /// service, whose decode is the gate.
   Status IngestData(PerSensor* s, const core::Transmission& t);
-  /// Records `chunks` DataLoss gaps in history and log.
+  /// Records `chunks` DataLoss gaps in the log and the timeline.
   Status DeclareGap(PerSensor* s, size_t chunks);
   /// Appends a protocol-state checkpoint record (persist mode only).
   Status AppendProtocolCheckpoint(PerSensor* s);
@@ -140,14 +144,6 @@ class BaseStation {
   /// records appended after it (persist mode only; checkpoint-less legacy
   /// logs keep the fresh-sensor defaults).
   Status RestoreProtocolState(PerSensor* s);
-  /// Mirrors one accepted transmission into the attached query service
-  /// (no-op without one). A service-side rejection becomes a service-side
-  /// gap so the two timelines never drift apart.
-  void ForwardToQueryService(uint32_t sensor_id, const core::Transmission& t);
-  /// Replays a recovered log into the attached query service so a sensor
-  /// restored from disk is immediately queryable.
-  Status ReplayIntoQueryService(uint32_t sensor_id,
-                                const storage::ChunkLog& log);
 
   size_t m_base_;
   std::string log_dir_;
@@ -155,7 +151,9 @@ class BaseStation {
   bool persist_protocol_state_;
   std::map<uint32_t, PerSensor> sensors_;
   ProtocolStats total_;
-  storage::QueryService* query_service_ = nullptr;
+  /// The station's own service until AttachQueryService replaces it.
+  std::unique_ptr<storage::QueryService> own_service_;
+  storage::QueryService* service_;
 };
 
 }  // namespace sbr::net

@@ -60,11 +60,7 @@ NetworkSim::NetworkSim(Topology topology,
       engine_(&station_, EnergyModel(energy), ToEngineOptions(link)) {}
 
 void NetworkSim::EnableQueryService(size_t probe_every_chunks) {
-  storage::QueryServiceOptions opts;
-  opts.m_base = encoder_options_.m_base;
-  query_service_ = std::make_unique<storage::QueryService>(opts);
   probe_every_chunks_ = probe_every_chunks == 0 ? 1 : probe_every_chunks;
-  station_.AttachQueryService(query_service_.get());
 }
 
 Status NetworkSim::RunNode(size_t index, const datagen::Dataset& feed,
@@ -147,15 +143,16 @@ Status NetworkSim::RunNode(size_t index, const datagen::Dataset& feed,
     // Mid-round read-only probe: a concurrent reader hitting this node's
     // published snapshot while other nodes are still ingesting. Answers
     // feed only obs metrics and the service's own counters — never the
-    // report — so the digest is identical with the service detached.
-    if (query_service_ != nullptr &&
+    // report — so the digest is identical without probes.
+    if (probe_every_chunks_ != 0 &&
         ++chunks_resolved % probe_every_chunks_ == 0) {
       SBR_OBS_COUNT("net.sim.query_probes", 1);
-      auto snap = query_service_->Snapshot(place.id);
+      const storage::QueryService& service = station_.query_service();
+      auto snap = service.Snapshot(place.id);
       if (snap != nullptr && snap->compressed.history_len() > 0) {
         const size_t len = snap->compressed.history_len();
-        (void)query_service_->Aggregate(place.id, 0, 0, len);
-        (void)query_service_->Point(place.id, 0, len - 1);
+        (void)service.Aggregate(place.id, 0, 0, len);
+        (void)service.Point(place.id, 0, len - 1);
       }
     }
   }
@@ -176,10 +173,9 @@ Status NetworkSim::RunNode(size_t index, const datagen::Dataset& feed,
   // Score the reconstructed history against the truth, chunk by chunk;
   // chunks recorded as DataLoss gaps are excluded (their loss is already
   // reported explicitly, not smeared into the error figure). Only the map
-  // lookups need the station lock: after this node's last frame, no other
-  // node touches this sensor's per-sensor state, so the history reads run
-  // unlocked.
-  const storage::HistoryStore* history = nullptr;
+  // lookups need the station lock: the history handle is an immutable
+  // epoch snapshot, so its reads run unlocked.
+  std::shared_ptr<const storage::HistoryStore> history;
   {
     std::lock_guard<std::mutex> lock(engine_.station_mutex());
     nr.duplicates_suppressed =
@@ -187,7 +183,7 @@ Status NetworkSim::RunNode(size_t index, const datagen::Dataset& feed,
     if (station_.HasSensor(place.id)) {
       auto h = station_.History(place.id);
       if (!h.ok()) return h.status();
-      history = *h;
+      history = std::move(h).value();
     }
   }
   if (history != nullptr) {

@@ -115,17 +115,17 @@ class NetworkSim {
 
   const BaseStation& base_station() const { return station_; }
 
-  /// Attaches a concurrent storage::QueryService to the base station and
-  /// makes every node issue a read-only probe (aggregate + point) against
-  /// its own history after every `probe_every_chunks` resolved chunks —
-  /// concurrent readers exercising the snapshot path while ingest runs.
-  /// Probe answers feed only obs metrics and the service counters; the
-  /// SimulationReport stays bitwise identical to a run without the service.
+  /// Makes every node issue a read-only probe (aggregate + point) against
+  /// its own history in the base station's query service after every
+  /// `probe_every_chunks` resolved chunks — concurrent readers exercising
+  /// the snapshot path while ingest runs. Probe answers feed only obs
+  /// metrics and the service counters; the SimulationReport stays bitwise
+  /// identical to a run without probes.
   void EnableQueryService(size_t probe_every_chunks = 4);
 
-  /// nullptr unless EnableQueryService was called.
+  /// The base station's query service.
   const storage::QueryService* query_service() const {
-    return query_service_.get();
+    return &station_.query_service();
   }
 
  private:
@@ -147,8 +147,7 @@ class NetworkSim {
   /// The shared delivery engine, running the null lifecycle policy.
   /// Declared after station_: the engine holds a pointer to it.
   SimEngine engine_;
-  /// Optional concurrent read front-end (EnableQueryService).
-  std::unique_ptr<storage::QueryService> query_service_;
+  /// Resolved chunks between probes; 0 = no probes (EnableQueryService).
   size_t probe_every_chunks_ = 0;
 };
 

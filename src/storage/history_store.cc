@@ -1,54 +1,8 @@
 #include "storage/history_store.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace sbr::storage {
-namespace {
-
-/// Exact moment fold of `n` raw samples.
-void FoldValues(const double* v, size_t n, MomentSummary* out) {
-  for (size_t i = 0; i < n; ++i) {
-    out->sum += v[i];
-    out->sumsq += v[i] * v[i];
-    out->min = std::min(out->min, v[i]);
-    out->max = std::max(out->max, v[i]);
-  }
-  out->count += n;
-}
-
-}  // namespace
-
-StatusOr<HistoryStore> HistoryStore::FromLog(const ChunkLog& log,
-                                             size_t m_base) {
-  HistoryStore store(m_base);
-  for (size_t i = 0; i < log.size(); ++i) {
-    switch (log.record_type(i)) {
-      case RecordType::kTransmission: {
-        auto t = log.Read(i);
-        if (!t.ok()) return t.status();
-        SBR_RETURN_IF_ERROR(store.Ingest(*t));
-        break;
-      }
-      case RecordType::kGap: {
-        auto chunks = log.ReadGap(i);
-        if (!chunks.ok()) return chunks.status();
-        store.MarkGap(*chunks);
-        break;
-      }
-      case RecordType::kSnapshot: {
-        auto snap = log.ReadSnapshot(i);
-        if (!snap.ok()) return snap.status();
-        SBR_RETURN_IF_ERROR(store.ApplySnapshot(*snap));
-        break;
-      }
-      case RecordType::kCheckpoint:
-        // Recovery state for the log's owner; carries no history data.
-        break;
-    }
-  }
-  return store;
-}
 
 Status HistoryStore::Ingest(const core::Transmission& t) {
   if (!t.signal_lengths.empty()) {
@@ -65,37 +19,11 @@ Status HistoryStore::Ingest(const core::Transmission& t) {
   if (!decoded.ok()) return decoded.status();
   chunks_.push_back(std::make_shared<const std::vector<double>>(
       std::move(decoded).value()));
-  AppendIndexLeaves(chunks_.back().get());
   return Status::Ok();
 }
 
-void HistoryStore::AppendIndexLeaves(const std::vector<double>* values) {
-  if (num_signals_ == 0) return;
-  if (index_.empty()) {
-    index_.assign(num_signals_, MomentIndex{});
-    // Chunks recorded before the first successful ingest are all gaps
-    // (geometry was unknown); backfill so index positions equal chunk
-    // indices.
-    for (size_t c = 0; c + 1 < chunks_.size(); ++c) {
-      for (MomentIndex& idx : index_) idx.Append(MomentSummary::Gap());
-    }
-  }
-  for (size_t s = 0; s < num_signals_; ++s) {
-    MomentSummary leaf;
-    if (values == nullptr) {
-      leaf = MomentSummary::Gap();
-    } else {
-      FoldValues(values->data() + s * chunk_len_, chunk_len_, &leaf);
-    }
-    index_[s].Append(leaf);
-  }
-}
-
 void HistoryStore::MarkGap(size_t chunks) {
-  for (size_t i = 0; i < chunks; ++i) {
-    chunks_.emplace_back(nullptr);
-    if (!index_.empty()) AppendIndexLeaves(nullptr);
-  }
+  chunks_.insert(chunks_.end(), chunks, nullptr);
   num_gaps_ += chunks;
 }
 
@@ -133,65 +61,6 @@ StatusOr<std::vector<double>> HistoryStore::QueryRange(size_t signal,
     out.insert(out.end(), row, row + take);
     t += take;
   }
-  return out;
-}
-
-StatusOr<AggregateResult> HistoryStore::AggregateExact(size_t signal,
-                                                       size_t t0,
-                                                       size_t t1) const {
-  if (signal >= num_signals_) {
-    return Status::OutOfRange("signal " + std::to_string(signal));
-  }
-  if (t0 >= t1 || t1 > history_len()) {
-    return Status::OutOfRange("range [" + std::to_string(t0) + ", " +
-                              std::to_string(t1) + ")");
-  }
-  MomentSummary acc;
-  const size_t c_first = t0 / chunk_len_;
-  const size_t c_last = (t1 - 1) / chunk_len_;
-  const size_t full_lo = t0 % chunk_len_ == 0 ? c_first : c_first + 1;
-  const size_t full_hi = t1 % chunk_len_ == 0 ? c_last + 1 : c_last;
-
-  // Leading partial chunk, interior from the index, trailing partial
-  // chunk — the same decomposition as the compressed engine's indexed
-  // path, with raw-sample scans where that one walks intervals.
-  if (full_lo > c_first || full_lo >= full_hi) {
-    if (IsGap(c_first)) {
-      return Status::DataLoss("range touches lost chunk " +
-                              std::to_string(c_first));
-    }
-    const size_t lo_t = t0 - c_first * chunk_len_;
-    const size_t hi_t =
-        std::min(t1 - c_first * chunk_len_, chunk_len_);
-    FoldValues(chunks_[c_first]->data() + signal * chunk_len_ + lo_t,
-               hi_t - lo_t, &acc);
-  }
-  if (full_lo < full_hi) {
-    const MomentSummary interior = index_[signal].Query(full_lo, full_hi);
-    if (interior.has_gap) {
-      return Status::DataLoss(
-          "range touches lost chunk " +
-          std::to_string(index_[signal].FirstGap(full_lo, full_hi)));
-    }
-    acc.Merge(interior);
-  }
-  if (c_last > c_first && full_hi <= c_last) {
-    if (IsGap(c_last)) {
-      return Status::DataLoss("range touches lost chunk " +
-                              std::to_string(c_last));
-    }
-    const size_t hi_t = t1 - c_last * chunk_len_;
-    FoldValues(chunks_[c_last]->data() + signal * chunk_len_, hi_t, &acc);
-  }
-
-  AggregateResult out;
-  out.sum = acc.sum;
-  out.min = acc.min;
-  out.max = acc.max;
-  out.count = acc.count;
-  const double n = static_cast<double>(acc.count);
-  out.avg = acc.sum / n;
-  out.variance = std::max(0.0, acc.sumsq / n - out.avg * out.avg);
   return out;
 }
 

@@ -1,5 +1,6 @@
-// HistoryStore: the base station's queryable view of one sensor's
-// approximate history. Ingested transmissions are decoded in arrival
+// HistoryStore: the decoded view of one sensor's approximate history, as
+// held in every storage::QueryService epoch snapshot next to the
+// compressed view. Ingested transmissions are decoded in arrival
 // order (the decoder's base-signal mirror makes order significant) and the
 // reconstructed chunks are retained, so any time range of any quantity
 // can be served — the paper's "reconstruct the series Y_i at any given
@@ -14,9 +15,6 @@
 
 #include "core/decoder.h"
 #include "core/transmission.h"
-#include "storage/chunk_log.h"
-#include "storage/moment_index.h"
-#include "storage/query_engine.h"
 #include "util/status.h"
 
 namespace sbr::storage {
@@ -27,10 +25,6 @@ class HistoryStore {
   /// `m_base` must match the sensor's encoder configuration.
   explicit HistoryStore(size_t m_base)
       : decoder_(core::DecoderOptions{m_base}) {}
-
-  /// Rebuilds a store by replaying a chunk log from the beginning
-  /// (transmissions, gap markers and snapshots alike).
-  static StatusOr<HistoryStore> FromLog(const ChunkLog& log, size_t m_base);
 
   /// Decodes and retains the next transmission.
   Status Ingest(const core::Transmission& t);
@@ -65,15 +59,6 @@ class HistoryStore {
   /// Single reconstructed value.
   StatusOr<double> QueryPoint(size_t signal, size_t t) const;
 
-  /// Exact aggregates of the reconstructed series over [t0, t1) — the
-  /// materialized-side counterpart of CompressedHistory::Aggregate.
-  /// Fully covered chunks are answered from per-chunk moment summaries
-  /// folded at ingest (O(log #chunks) via the hierarchical index); only
-  /// the two partial boundary chunks scan samples. Same gap semantics:
-  /// touching a lost chunk is DataLoss, abutting one succeeds.
-  StatusOr<AggregateResult> AggregateExact(size_t signal, size_t t0,
-                                           size_t t1) const;
-
   /// Whole reconstructed chunk c as a num_signals x chunk_len matrix;
   /// DataLoss if the chunk is a gap.
   StatusOr<linalg::Matrix> Chunk(size_t c) const;
@@ -88,13 +73,6 @@ class HistoryStore {
   /// shared between copies, so copying a store (the QueryService snapshot
   /// publish path) costs O(chunks) pointer copies, not O(samples).
   std::vector<std::shared_ptr<const std::vector<double>>> chunks_;
-  /// One hierarchical moment index per signal over the decoded chunks
-  /// (created at the first ingest; earlier gap chunks are backfilled).
-  /// Sealed blocks are shared across store copies.
-  std::vector<MomentIndex> index_;
-
-  /// Appends chunk summaries (or gap leaves for nullptr) to the index.
-  void AppendIndexLeaves(const std::vector<double>* values);
 };
 
 }  // namespace sbr::storage

@@ -285,8 +285,7 @@ Status ReplayLog(const ChunkLog& log, uint32_t sensor_id,
         auto t = log.Read(i);
         if (!t.ok()) return t.status();
         if (!service->Ingest(sensor_id, *t).ok()) {
-          SBR_RETURN_IF_ERROR(service->MarkGap(sensor_id, 1));
-          SBR_OBS_COUNT("query.replay_gaps", 1);
+          SBR_OBS_COUNT("query.replay_skips", 1);
         }
         break;
       }

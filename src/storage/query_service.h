@@ -226,8 +226,10 @@ class QueryService {
 
 /// Replays a chunk log into `service` as sensor `sensor_id`, record by
 /// record (transmissions, gap markers, snapshots; checkpoints skipped).
-/// Log read errors propagate; a transmission the service rejects degrades
-/// to a service-side gap so the timeline stays aligned with the log.
+/// Log read errors propagate. A transmission the service rejects is
+/// skipped: the live ingest that logged it was refused by the same service
+/// state and left the timeline where it was, so the replayed timeline
+/// equals the live one.
 Status ReplayLog(const ChunkLog& log, uint32_t sensor_id,
                  QueryService* service);
 

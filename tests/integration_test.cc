@@ -16,6 +16,7 @@
 #include "datagen/weather.h"
 #include "net/base_station.h"
 #include "net/node.h"
+#include "storage/query_service.h"
 #include "util/stats.h"
 
 namespace sbr {
@@ -161,9 +162,11 @@ TEST(Integration, SensorToStationPipelineWithWire) {
   // The log replays to the same answer.
   auto log = station.Log(42);
   ASSERT_TRUE(log.ok());
-  auto replayed = storage::HistoryStore::FromLog(**log, opts.m_base);
-  ASSERT_TRUE(replayed.ok());
-  auto again = replayed->QueryRange(0, 0, 768);
+  storage::QueryServiceOptions service_opts;
+  service_opts.m_base = opts.m_base;
+  storage::QueryService replayed(service_opts);
+  ASSERT_TRUE(storage::ReplayLog(**log, 42, &replayed).ok());
+  auto again = replayed.Reconstruct(42, 0, 0, 768);
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(*approx, *again);
 }

@@ -11,6 +11,7 @@
 #include "net/network.h"
 #include "net/node.h"
 #include "net/topology.h"
+#include "storage/query_service.h"
 #include "util/rng.h"
 
 namespace sbr::net {
@@ -328,6 +329,102 @@ TEST(BaseStation, ReceiveBytesDecodesWire) {
   EXPECT_EQ(nack->type, AckType::kCorrupt);
   EXPECT_EQ(station.total_stats().corrupt_frames, 1u);
   EXPECT_FALSE(station.HasSensor(6));
+}
+
+/// Feeds `chunks` 64-sample chunks of two-signal data from sensor `id`
+/// into `station` over the trusted path.
+void FeedChunks(BaseStation* station, SensorNode* node, size_t chunks) {
+  Rng rng(node->id());
+  for (size_t i = 0; i < chunks * 64; ++i) {
+    std::vector<double> s{std::sin(i * 0.2), rng.Uniform(0, 5)};
+    auto r = node->AddSamples(s);
+    ASSERT_TRUE(r.ok());
+    if (r->has_value()) {
+      ASSERT_TRUE(station->Receive(node->id(), **r).ok());
+    }
+  }
+}
+
+TEST(BaseStation, LateAttachedServiceGetsWholeTimelines) {
+  BaseStation station(64);
+  SensorNode a(1, 2, 64, NodeOptions());
+  SensorNode b(2, 2, 64, NodeOptions());
+  FeedChunks(&station, &a, 3);
+  FeedChunks(&station, &b, 2);
+  std::vector<std::vector<double>> before;
+  for (uint32_t id : {1u, 2u}) {
+    auto h = station.History(id);
+    ASSERT_TRUE(h.ok());
+    auto values = (*h)->QueryRange(1, 0, (*h)->history_len());
+    ASSERT_TRUE(values.ok());
+    before.push_back(*values);
+  }
+
+  storage::QueryServiceOptions options;
+  options.m_base = 64;
+  storage::QueryService service(options);
+  ASSERT_TRUE(station.AttachQueryService(&service).ok());
+  EXPECT_EQ(&station.query_service(), &service);
+  EXPECT_EQ(service.num_sensors(), 2u);
+  EXPECT_EQ(service.epoch(1), 3u);
+  EXPECT_EQ(service.epoch(2), 2u);
+  for (uint32_t id : {1u, 2u}) {
+    auto snap = service.Snapshot(id);
+    ASSERT_NE(snap, nullptr);
+    auto values = snap->history.QueryRange(1, 0, snap->history.history_len());
+    ASSERT_TRUE(values.ok());
+    EXPECT_EQ(*values, before[id - 1]) << "sensor " << id;
+  }
+
+  // Later ingest lands in the attached service.
+  FeedChunks(&station, &a, 1);
+  EXPECT_EQ(service.epoch(1), 4u);
+  auto h = station.History(1);
+  ASSERT_TRUE(h.ok());
+  EXPECT_EQ((*h)->num_chunks(), 4u);
+}
+
+TEST(BaseStation, HistoryHandleKeepsItsEpochWhileIngestGoesOn) {
+  BaseStation station(64);
+  SensorNode node(3, 2, 64, NodeOptions());
+  FeedChunks(&station, &node, 2);
+  auto handle = station.History(3);
+  ASSERT_TRUE(handle.ok());
+  const storage::HistoryStore& held = **handle;
+  ASSERT_EQ(held.num_chunks(), 2u);
+  auto values = held.QueryRange(0, 0, held.history_len());
+  ASSERT_TRUE(values.ok());
+
+  FeedChunks(&station, &node, 2);
+  EXPECT_EQ(held.num_chunks(), 2u);
+  auto again = held.QueryRange(0, 0, held.history_len());
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(*again, *values);
+  auto latest = station.History(3);
+  ASSERT_TRUE(latest.ok());
+  EXPECT_EQ((*latest)->num_chunks(), 4u);
+}
+
+TEST(BaseStation, SensorWithoutEpochReadsAsEmptyHistory) {
+  BaseStation station(64);
+  SensorNode node(4, 2, 64, NodeOptions());
+  core::Transmission tx;
+  Rng rng(4);
+  for (size_t i = 0; i < 64; ++i) {
+    std::vector<double> s{rng.Uniform(0, 1), rng.Uniform(0, 1)};
+    auto r = node.AddSamples(s);
+    ASSERT_TRUE(r.ok());
+    if (r->has_value()) tx = **r;
+  }
+  // Seq 1 ahead of the expected seq 0: buffered, nothing decoded yet.
+  BinaryWriter w;
+  core::MakeDataFrame(4, 1, 0, tx).Serialize(&w);
+  auto ack = station.ReceiveBytes(w.buffer());
+  ASSERT_TRUE(ack.ok());
+  EXPECT_EQ(ack->type, AckType::kBuffered);
+  auto h = station.History(4);
+  ASSERT_TRUE(h.ok());
+  EXPECT_EQ((*h)->num_chunks(), 0u);
 }
 
 // ------------------------------------------------------------ NetworkSim

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
+#include <string>
 #include <vector>
 
 #include "core/encoder.h"
@@ -341,6 +343,64 @@ TEST(Protocol, DegradedBatchDecodesWithoutAnyBaseState) {
   auto hist = fresh.History(9);
   ASSERT_TRUE(hist.ok());
   EXPECT_TRUE((*hist)->Chunk(0).ok());
+}
+
+// A CRC-clean data frame the station cannot decode is logged before the
+// decode refuses it. A restart must replay that log to the live timeline
+// and protocol state instead of failing on the refused record.
+TEST(Protocol, RefusedFrameInLogDoesNotWedgeRestart) {
+  const std::string dir = ::testing::TempDir() + "/sbr_refused_restart";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  core::Transmission wide, narrow;
+  SensorNode a(5, 2, 128, SmallOptions());
+  StreamChunks(&a, 1, 128,
+               [&](size_t, const core::Transmission& tx) { wide = tx; });
+  SensorNode b(5, 2, 64, SmallOptions());
+  StreamChunks(&b, 1, 64,
+               [&](size_t, const core::Transmission& tx) { narrow = tx; });
+  const core::Frame first = core::MakeDataFrame(5, 0, 0, wide);
+  const core::Frame refused = core::MakeDataFrame(5, 1, 0, narrow);
+  const core::Frame next = core::MakeDataFrame(5, 2, 0, wide);
+
+  AckType live_next = AckType::kAccept;
+  ProtocolStats live_stats;
+  std::vector<double> live_values;
+  {
+    BaseStation live(64, dir, 8, /*persist_protocol_state=*/true);
+    auto ack = Deliver(&live, first);
+    ASSERT_TRUE(ack.ok());
+    ASSERT_EQ(ack->type, AckType::kAccept);
+    ack = Deliver(&live, refused);  // chunk_len changed: undecodable
+    ASSERT_TRUE(ack.ok());
+    ASSERT_EQ(ack->type, AckType::kDesync);
+    ack = Deliver(&live, next);
+    ASSERT_TRUE(ack.ok());
+    live_next = ack->type;
+    live_stats = live.stats(5);
+    auto hist = live.History(5);
+    ASSERT_TRUE(hist.ok());
+    ASSERT_EQ((*hist)->num_chunks(), 1u);
+    auto values = (*hist)->QueryRange(0, 0, 128);
+    ASSERT_TRUE(values.ok());
+    live_values = *values;
+  }
+
+  BaseStation restarted(64, dir, 8, /*persist_protocol_state=*/true);
+  auto ack = Deliver(&restarted, next);
+  ASSERT_TRUE(ack.ok()) << ack.status().ToString();
+  EXPECT_EQ(ack->type, live_next);
+  const ProtocolStats st = restarted.stats(5);
+  EXPECT_EQ(st.frames_accepted, live_stats.frames_accepted);
+  EXPECT_EQ(st.resync_requests, live_stats.resync_requests);
+  EXPECT_EQ(st.stale_frames_rejected, live_stats.stale_frames_rejected);
+  auto hist = restarted.History(5);
+  ASSERT_TRUE(hist.ok());
+  ASSERT_EQ((*hist)->num_chunks(), 1u);
+  auto values = (*hist)->QueryRange(0, 0, 128);
+  ASSERT_TRUE(values.ok());
+  EXPECT_EQ(*values, live_values);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Protocol, EpochMismatchedDataFramesRejectedUntilSnapshotArrives) {

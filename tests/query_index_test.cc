@@ -401,76 +401,6 @@ TEST(QueryIndex, GapSemanticsMatchLegacyScanToTheByte) {
 }
 
 // ------------------------------------------------------------------
-// HistoryStore::AggregateExact vs a raw recompute over QueryRange.
-// ------------------------------------------------------------------
-
-TEST(QueryIndex, HistoryStoreExactAggregatesMatchRawRecompute) {
-  const datagen::Dataset dataset =
-      MakeDataset("stock", 321, kChunks * kChunkLen);
-  const size_t num_signals = dataset.num_signals();
-  const size_t n = num_signals * kChunkLen;
-  core::EncoderOptions opts;
-  opts.total_band = n / 8;
-  opts.m_base = kMBase;
-  core::SbrEncoder encoder(opts);
-
-  storage::HistoryStore store(kMBase);
-  std::vector<double> chunk(n);
-  for (size_t c = 0; c < kChunks; ++c) {
-    if (c == 3) {
-      store.MarkGap(1);
-      continue;
-    }
-    for (size_t s = 0; s < num_signals; ++s) {
-      for (size_t k = 0; k < kChunkLen; ++k) {
-        chunk[s * kChunkLen + k] = dataset.values(s, c * kChunkLen + k);
-      }
-    }
-    auto t = encoder.EncodeChunk(chunk, num_signals);
-    ASSERT_TRUE(t.ok()) << t.status().ToString();
-    ASSERT_TRUE(store.Ingest(*t).ok());
-  }
-
-  std::mt19937_64 rng(321);
-  const size_t len = store.history_len();
-  std::uniform_int_distribution<size_t> pick_t(0, len - 1);
-  std::uniform_int_distribution<size_t> pick_s(0, num_signals - 1);
-  size_t checked_ok = 0;
-  for (int q = 0; q < 200; ++q) {
-    size_t a = pick_t(rng), b = pick_t(rng);
-    if (a > b) std::swap(a, b);
-    const size_t s = pick_s(rng);
-    auto agg = store.AggregateExact(s, a, b + 1);
-    auto raw = store.QueryRange(s, a, b + 1);
-    ASSERT_EQ(agg.ok(), raw.ok()) << a << "," << b + 1;
-    if (!agg.ok()) {
-      EXPECT_EQ(agg.status().code(), raw.status().code());
-      EXPECT_EQ(agg.status().message(), raw.status().message());
-      continue;
-    }
-    ++checked_ok;
-    double sum = 0.0, mn = (*raw)[0], mx = (*raw)[0];
-    for (double v : *raw) {
-      sum += v;
-      mn = std::min(mn, v);
-      mx = std::max(mx, v);
-    }
-    ASSERT_EQ(agg->count, raw->size());
-    EXPECT_EQ(agg->min, mn);  // bitwise: same selection candidates
-    EXPECT_EQ(agg->max, mx);
-    EXPECT_NEAR(agg->sum, sum,
-                1e-9 * (std::abs(sum) + static_cast<double>(raw->size())));
-  }
-  EXPECT_GE(checked_ok, 50u);  // the gap must not have eaten the oracle
-  // Abut vs touch around the lost chunk, exact-side.
-  EXPECT_TRUE(store.AggregateExact(0, 0, 3 * kChunkLen).ok());
-  EXPECT_TRUE(store.AggregateExact(0, 4 * kChunkLen, len).ok());
-  auto touch = store.AggregateExact(0, 0, 3 * kChunkLen + 1);
-  ASSERT_EQ(touch.status().code(), StatusCode::kDataLoss);
-  EXPECT_EQ(touch.status().message(), "range touches lost chunk 3");
-}
-
-// ------------------------------------------------------------------
 // LRU aggregate cache: eviction order + the new counters.
 // ------------------------------------------------------------------
 

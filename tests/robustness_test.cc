@@ -16,7 +16,7 @@
 #include "net/base_station.h"
 #include "net/node.h"
 #include "storage/chunk_log.h"
-#include "storage/history_store.h"
+#include "storage/query_service.h"
 #include "util/rng.h"
 #include "util/stats.h"
 
@@ -305,9 +305,13 @@ TEST(Robustness, LogWithGarbageTailRecovers) {
   auto recovered = storage::ChunkLog::Open(path);
   ASSERT_TRUE(recovered.ok());
   EXPECT_EQ(recovered->size(), 1u);
-  auto store = storage::HistoryStore::FromLog(*recovered, 64);
-  ASSERT_TRUE(store.ok());
-  EXPECT_EQ(store->num_chunks(), 1u);
+  storage::QueryServiceOptions options;
+  options.m_base = 64;
+  storage::QueryService service(options);
+  ASSERT_TRUE(storage::ReplayLog(*recovered, 0, &service).ok());
+  auto replayed = service.Snapshot(0);
+  ASSERT_NE(replayed, nullptr);
+  EXPECT_EQ(replayed->history.num_chunks(), 1u);
   std::filesystem::remove(path);
 }
 

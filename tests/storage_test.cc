@@ -1,6 +1,6 @@
 // Unit tests for the storage substrate: the append-only chunk log
-// (including durability and torn-record recovery) and the queryable
-// history store.
+// (including durability and torn-record recovery), the queryable history
+// store, and log replay into a query service.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,6 +12,7 @@
 #include "storage/chunk_log.h"
 #include "storage/history_store.h"
 #include "storage/query_engine.h"
+#include "storage/query_service.h"
 #include "util/rng.h"
 #include "util/stats.h"
 
@@ -30,6 +31,18 @@ core::Transmission MakeTransmission(uint32_t seed) {
   t.intervals.push_back({0, -1, 0.5, static_cast<double>(seed)});
   t.intervals.push_back({16, 0, 1.0, 0.0});
   return t;
+}
+
+/// Replays `log` into a fresh query service as sensor 0 and returns the
+/// sensor's latest epoch, or nullptr if the replay failed or published
+/// nothing.
+std::shared_ptr<const SensorSnapshot> Replay(const ChunkLog& log,
+                                             size_t m_base) {
+  QueryServiceOptions options;
+  options.m_base = m_base;
+  QueryService service(options);
+  if (!ReplayLog(log, 0, &service).ok()) return nullptr;
+  return service.Snapshot(0);
 }
 
 std::string TempPath(const std::string& name) {
@@ -237,9 +250,9 @@ TEST(ChunkLog, CheckpointRecordsRoundTripAndIndex) {
   EXPECT_FALSE(log->ReadCheckpoint(1).ok());
   // Replaying the log skips checkpoint records: they carry recovery
   // state, not timeline content.
-  auto history = HistoryStore::FromLog(*log, 64);
-  ASSERT_TRUE(history.ok()) << history.status().ToString();
-  EXPECT_EQ(history->num_chunks(), 1u);
+  auto replayed = Replay(*log, 64);
+  ASSERT_NE(replayed, nullptr);
+  EXPECT_EQ(replayed->history.num_chunks(), 1u);
   std::filesystem::remove(path);
 }
 
@@ -405,7 +418,7 @@ TEST(HistoryStore, GeometryChangeRejected) {
   EXPECT_FALSE(store.Ingest(other).ok());
 }
 
-TEST(HistoryStore, FromLogReplaysEverything) {
+TEST(HistoryStore, ReplayLogReplaysEverything) {
   std::vector<std::vector<double>> truth;
   const auto stream = EncodeStream(&truth, 4, 64);
   const std::string path = TempPath("sbr_hist.log");
@@ -417,8 +430,9 @@ TEST(HistoryStore, FromLogReplaysEverything) {
   }
   auto log = ChunkLog::Open(path);
   ASSERT_TRUE(log.ok());
-  auto store = HistoryStore::FromLog(*log, 64);
-  ASSERT_TRUE(store.ok());
+  auto replayed = Replay(*log, 64);
+  ASSERT_NE(replayed, nullptr);
+  const HistoryStore* store = &replayed->history;
   EXPECT_EQ(store->num_chunks(), 4u);
 
   // Compare against a direct ingest: identical output (decoder state is a
@@ -464,7 +478,7 @@ TEST(HistoryStore, GapsAdvanceTimelineAndAnswerDataLoss) {
   EXPECT_EQ(gap_point.status().code(), StatusCode::kDataLoss);
 }
 
-TEST(HistoryStore, FromLogReplaysGapsIdentically) {
+TEST(HistoryStore, ReplayLogReplaysGapsIdentically) {
   std::vector<std::vector<double>> truth;
   const auto stream = EncodeStream(&truth, 3, 64);
   const std::string path = TempPath("sbr_hist_gaps.log");
@@ -479,8 +493,9 @@ TEST(HistoryStore, FromLogReplaysGapsIdentically) {
   }
   auto log = ChunkLog::Open(path);
   ASSERT_TRUE(log.ok());
-  auto store = HistoryStore::FromLog(*log, 64);
-  ASSERT_TRUE(store.ok());
+  auto replayed = Replay(*log, 64);
+  ASSERT_NE(replayed, nullptr);
+  const HistoryStore* store = &replayed->history;
   EXPECT_EQ(store->num_chunks(), 4u);
   EXPECT_EQ(store->num_gaps(), 1u);
   EXPECT_TRUE(store->IsGap(1));

@@ -16,7 +16,6 @@
 //
 // aggregate-only flags:
 //   --noindex       answer via the legacy interval scan (index disabled)
-//   --exact         also print the materialized store's exact aggregates
 //
 // serve-only flags:
 //   --threads N     concurrent reader threads (default 4)
@@ -25,10 +24,11 @@
 //   --noindex       disable the moment index for every sensor
 //
 // The log is the complete state (base-signal updates travel inside the
-// records): `aggregate` and `serve` replay it into a storage::QueryService
-// and answer from published epoch snapshots — `aggregate` entirely in the
-// compressed domain, `serve` with a randomized aggregate/range/point mix
-// across threads, reporting the service counters at the end.
+// records): every form replays it into a storage::QueryService and answers
+// from published epoch snapshots — the reconstruct form from the decoded
+// view, `aggregate` entirely in the compressed domain, `serve` with a
+// randomized aggregate/range/point mix across threads, reporting the
+// service counters at the end.
 #include <cmath>
 #include <cstdio>
 #include <random>
@@ -37,7 +37,6 @@
 #include <vector>
 
 #include "storage/chunk_log.h"
-#include "storage/history_store.h"
 #include "storage/query_service.h"
 #include "tool_common.h"
 #include "util/csv.h"
@@ -68,21 +67,18 @@ int RunReconstruct(const tools::Args& args) {
   if (!args.Validate({"mbase", "signal", "from", "to", "csv", "stats"})) {
     return 2;
   }
-  auto log = storage::ChunkLog::Open(args.positional()[0]);
-  if (!log.ok()) return Fail(log.status());
-  if (log->empty()) {
-    std::fprintf(stderr, "log is empty\n");
-    return 1;
+  storage::QueryServiceOptions opts;
+  opts.m_base = static_cast<size_t>(args.GetInt("mbase", 1024));
+  storage::QueryService service(opts);
+  if (int rc = LoadService(args.positional()[0], &service); rc != 0) {
+    return rc;
   }
-  auto store = storage::HistoryStore::FromLog(
-      *log, static_cast<size_t>(args.GetInt("mbase", 1024)));
-  if (!store.ok()) return Fail(store.status());
-
+  auto snap = service.Snapshot(0);
   const size_t signal = static_cast<size_t>(args.GetInt("signal", 0));
   const size_t from = static_cast<size_t>(args.GetInt("from", 0));
-  const size_t to = static_cast<size_t>(
-      args.GetInt("to", static_cast<long>(store->history_len())));
-  auto range = store->QueryRange(signal, from, to);
+  const size_t to = static_cast<size_t>(args.GetInt(
+      "to", static_cast<long>(snap ? snap->history.history_len() : 0)));
+  auto range = service.Reconstruct(0, signal, from, to);
   if (!range.ok()) return Fail(range.status());
 
   if (args.Has("stats")) {
@@ -115,7 +111,7 @@ int RunReconstruct(const tools::Args& args) {
 }
 
 int RunAggregate(const tools::Args& args) {
-  if (!args.Validate({"mbase", "signal", "from", "to", "noindex", "exact"})) {
+  if (!args.Validate({"mbase", "signal", "from", "to", "noindex"})) {
     return 2;
   }
   storage::QueryServiceOptions opts;
@@ -137,18 +133,6 @@ int RunAggregate(const tools::Args& args) {
               signal, from, to,
               static_cast<unsigned long long>(service.epoch(0)), agg->count,
               agg->sum, agg->avg, agg->variance, agg->min, agg->max);
-  if (args.Has("exact") && snap != nullptr) {
-    // Second row: the materialized store's exact recompute of the same
-    // range — eyeballable compressed-vs-exact drift.
-    auto exact = snap->history.AggregateExact(signal, from, to);
-    if (!exact.ok()) return Fail(exact.status());
-    std::printf("exact   %zu, samples [%zu, %zu): epoch=%llu n=%zu "
-                "sum=%.10g avg=%.10g variance=%.10g min=%.10g max=%.10g\n",
-                signal, from, to,
-                static_cast<unsigned long long>(snap->epoch), exact->count,
-                exact->sum, exact->avg, exact->variance, exact->min,
-                exact->max);
-  }
   return 0;
 }
 
@@ -223,7 +207,7 @@ int RunServe(const tools::Args& args) {
 
 int main(int argc, char** argv) {
   const auto args =
-      tools::Args::Parse(argc, argv, {"stats", "noindex", "exact"});
+      tools::Args::Parse(argc, argv, {"stats", "noindex"});
   const auto& pos = args.positional();
   if (!pos.empty() && pos[0] == "aggregate") {
     if (pos.size() != 2) {
